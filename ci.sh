@@ -51,6 +51,11 @@ echo '== fuzz smoke: FuzzSADFParse (10s)'
 # invariant on top of panic-freedom.
 timeout 120 go test -run='^$' -fuzz='^FuzzSADFParse$' -fuzztime=10s ./internal/sdfio
 
+echo '== fuzz smoke: FuzzMaxCycleRatio (10s)'
+# Howard's int64 core and its rational fallback against the Bellman–Ford
+# oracle on small edge lists with weights and delays up to near 2^62.
+timeout 120 go test -run='^$' -fuzz='^FuzzMaxCycleRatio$' -fuzztime=10s ./internal/mcm
+
 echo '== sdftool reduce -verify over the reduction corpus'
 # Every corpus graph must reduce (or reach the trivial fixpoint), and
 # the lifted certificate chain must re-check against the original.

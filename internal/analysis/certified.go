@@ -113,7 +113,7 @@ func computeThroughputCertified(ctx context.Context, g *sdf.Graph, method Method
 			h = testTamperHSDF(h)
 		}
 		sp = reg.StartSpan("analysis.mcm", "engine", eng)
-		res, err := mcm.MaxCycleRatio(h)
+		res, err := mcm.MaxCycleRatioCtx(ctx, h)
 		sp.Finish()
 		if err != nil {
 			return fail(err)

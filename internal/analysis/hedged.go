@@ -176,6 +176,7 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 		cert *verify.ThroughputCert
 		err  error
 		wall time.Duration
+		end  time.Time
 	}
 	type finish struct {
 		method Method
@@ -199,13 +200,15 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 				o.tp, o.cert, err = ComputeThroughputCertified(raceCtx, target, m)
 				return err
 			})
-			o.wall = reg.Now().Sub(start)
+			o.end = reg.Now()
+			o.wall = o.end.Sub(start)
 			results <- finish{method: m, outcome: o}
 		}(m)
 	}
 
 	byMethod := make(map[Method]outcome, len(racers))
 	var winner Method
+	var cancelAt time.Time
 	won := false
 	for range racers {
 		f := <-results
@@ -214,6 +217,7 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 			// First verified answer wins; losers observe the
 			// cancellation at their next budget checkpoint.
 			winner, won = f.method, true
+			cancelAt = reg.Now()
 			cancel()
 		}
 	}
@@ -252,9 +256,11 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 				Reason: fmt.Sprintf("verified, cross-checked against the %s engine", winner),
 			})
 		case won && errors.Is(o.err, guard.ErrCanceled) && !opts.CrossCheck:
+			overrun := max(o.end.Sub(cancelAt), 0)
 			rep.Attempts = append(rep.Attempts, EngineAttempt{
-				Method: m, Skipped: true, Wall: o.wall,
-				Reason: fmt.Sprintf("cancelled: the %s engine answered first", winner),
+				Method: m, Skipped: true, Wall: o.wall, Overrun: overrun,
+				Reason: fmt.Sprintf("cancelled: the %s engine answered first; ran %v after the cancel",
+					winner, overrun.Round(time.Microsecond)),
 			})
 		default:
 			rep.Attempts = append(rep.Attempts, EngineAttempt{Method: m, Reason: o.err.Error(), Err: o.err, Wall: o.wall})

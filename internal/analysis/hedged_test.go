@@ -3,11 +3,16 @@ package analysis
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/guard"
+	"repro/internal/mcm"
 	"repro/internal/sdf"
 	"repro/internal/testutil"
 )
@@ -267,5 +272,73 @@ func TestHedgedInjectedRefusalLosesRace(t *testing.T) {
 	}
 	if !errors.Is(hsdfAttempt.Err, guard.ErrBudgetExceeded) {
 		t.Errorf("hsdf failure = %v, want the injected ErrBudgetExceeded", hsdfAttempt.Err)
+	}
+}
+
+// ringWithChords is a large strongly connected HSDF graph: a tokenised
+// ring of n actors plus 2n random chords.
+func ringWithChords(n int) *sdf.Graph {
+	rng := rand.New(rand.NewSource(1))
+	g := sdf.NewGraph("ring")
+	ids := make([]sdf.ActorID, n)
+	for i := range ids {
+		ids[i] = g.MustAddActor(fmt.Sprintf("a%d", i), 1+rng.Int63n(1000))
+	}
+	for i := range ids {
+		g.MustAddChannel(ids[i], ids[(i+1)%n], 1, 1, 1+rng.Intn(2))
+	}
+	for c := 0; c < 2*n; c++ {
+		g.MustAddChannel(ids[rng.Intn(n)], ids[rng.Intn(n)], 1, 1, 1+rng.Intn(3))
+	}
+	return g
+}
+
+// A hedge loser cancelled inside the maximum-cycle-mean computation
+// stops there instead of finishing it. The raced graph is a two-actor
+// cycle holding 400 tokens: the matrix engine needs milliseconds for its
+// 400×400 matrix, while the HSDF engine converts it in microseconds and
+// is handed a 50000-actor graph for its MCM, hundreds of milliseconds of
+// work. The matrix engine's answer cancels the HSDF engine mid-MCM; the
+// race must end long before that MCM could have finished, and the
+// report must say how long the loser ran on.
+func TestHedgedHSDFLoserStopsInsideMCM(t *testing.T) {
+	defer noLeaks(t)
+	g := sdf.NewGraph("tokens")
+	a := g.MustAddActor("A", 3)
+	b := g.MustAddActor("B", 5)
+	g.MustAddChannel(a, b, 1, 1, 0)
+	g.MustAddChannel(b, a, 1, 1, 400)
+	large := ringWithChords(50000)
+	start := time.Now()
+	if _, err := mcm.MaxCycleRatio(large); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	var enteredMCM atomic.Bool
+	testTamperHSDF = func(*sdf.Graph) *sdf.Graph {
+		enteredMCM.Store(true)
+		return large
+	}
+	defer func() { testTamperHSDF = nil }()
+
+	_, rep, err := ComputeThroughputHedgedOpts(context.Background(), g, HedgeOptions{Engines: []Method{Matrix, HSDF}})
+	if err != nil {
+		t.Fatalf("hedged: %v\n%s", err, rep)
+	}
+	if rep.Winner != Matrix || !enteredMCM.Load() {
+		t.Fatalf("winner %v, HSDF engine entered the MCM: %v; want matrix and true\n%s", rep.Winner, enteredMCM.Load(), rep)
+	}
+	loser := rep.Attempts[1]
+	if loser.Method != HSDF || !strings.HasPrefix(loser.Reason, "cancelled: the matrix engine answered first; ran ") {
+		t.Fatalf("HSDF attempt = %+v, want the cancelled loser", loser)
+	}
+	// The MCM notices the cancellation within microseconds; the bound,
+	// relative to the uncancelled MCM, holds on loaded machines too.
+	if loser.Overrun > full/4 || loser.Overrun > loser.Wall {
+		t.Errorf("HSDF loser ran %v after the cancel (wall %v), want under a quarter of the %v MCM",
+			loser.Overrun, loser.Wall, full)
+	}
+	if !strings.Contains(rep.String(), "after the cancel") {
+		t.Errorf("report does not show the overrun:\n%s", rep)
 	}
 }

@@ -33,6 +33,10 @@ type EngineAttempt struct {
 	// cancellation), measured on the observability clock when the
 	// context carries a registry, the wall clock otherwise.
 	Wall time.Duration
+	// Overrun is how long a hedge loser kept running after the race
+	// cancelled it (its exit minus the cancel, on the same clock); zero
+	// for every other attempt.
+	Overrun time.Duration
 }
 
 // attemptOutcome classifies an attempt for the engine-attempt counter.

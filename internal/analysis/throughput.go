@@ -210,7 +210,7 @@ func computeThroughput(ctx context.Context, g *sdf.Graph, method Method) (Throug
 			return Throughput{}, fmt.Errorf("analysis: %w", err)
 		}
 		sp = reg.StartSpan("analysis.mcm", "engine", eng)
-		res, err := mcm.MaxCycleRatio(h)
+		res, err := mcm.MaxCycleRatioCtx(ctx, h)
 		sp.Finish()
 		if err != nil {
 			return Throughput{}, fmt.Errorf("analysis: %w", err)

@@ -260,7 +260,7 @@ func (r *Router) dispatchSubBatch(ctx context.Context, g *subBatch, breq *serve.
 	case err != nil:
 		r.fillGroup(g, entries, "fleet: no alive replicas for sub-batch", "unavailable")
 	case out.err != nil:
-		r.fillGroup(g, entries, "fleet: "+out.err.Error(), "unavailable")
+		r.fillGroup(g, entries, "fleet: "+out.err.Error(), attemptErrorKind(out.err))
 	case out.status != http.StatusOK:
 		var ep serve.ErrorPayload
 		if jerr := json.Unmarshal(out.body, &ep); jerr != nil || ep.Kind == "" {

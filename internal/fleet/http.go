@@ -145,11 +145,7 @@ func (r *Router) handleThroughput(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+err.Error())
 		return
 	case out.err != nil:
-		// Exhausted failover, last failure was transport-level: the
-		// fleet as a whole could not be reached.
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
-		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+out.err.Error())
+		outcome = r.writeAttemptError(w, out.err)
 		return
 	}
 	// A completed exchange — success or a replica's own error payload —
@@ -230,9 +226,7 @@ func (r *Router) handleSADF(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+err.Error())
 		return
 	case out.err != nil:
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
-		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+out.err.Error())
+		outcome = r.writeAttemptError(w, out.err)
 		return
 	}
 	if !out.ok() {
@@ -263,6 +257,30 @@ func (r *Router) unavailableRetryAfter() int {
 		secs = 1
 	}
 	return secs
+}
+
+// writeAttemptError answers a request whose routing ended in an
+// attempt-level failure and returns the request outcome label. An
+// answer over the relay cap is a permanent verdict on the request; any
+// other failure means the fleet as a whole could not be reached, and
+// the client is told when to retry.
+func (r *Router) writeAttemptError(w http.ResponseWriter, err error) string {
+	kind := attemptErrorKind(err)
+	if kind != "unavailable" {
+		writeError(w, http.StatusBadGateway, kind, "fleet: "+err.Error())
+		return "error"
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
+	writeError(w, http.StatusBadGateway, kind, "fleet: "+err.Error())
+	return "unavailable"
+}
+
+// attemptErrorKind is the wire kind of an attempt-level failure.
+func attemptErrorKind(err error) string {
+	if errors.Is(err, errResponseTooLarge) {
+		return "too-large"
+	}
+	return "unavailable"
 }
 
 func writeError(w http.ResponseWriter, status int, kind, msg string) {

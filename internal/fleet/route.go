@@ -17,10 +17,18 @@ import (
 // errNoReplicas marks a request that found no alive replica to try.
 var errNoReplicas = errors.New("fleet: no alive replicas")
 
+// maxRelayBytes caps a replica answer the router relays.
+const maxRelayBytes = 1 << 22
+
+// errResponseTooLarge marks a replica answer longer than maxRelayBytes.
+// Relaying it cut short would hand the client invalid JSON, and every
+// replica computes the same answer, so the attempt fails for good.
+var errResponseTooLarge = errors.New("fleet: replica answer exceeds the relay cap")
+
 // attemptOutcome is one proxied exchange's result. Exactly one of err
 // and status is meaningful: err covers transport-level failures (the
-// replica may be dead), status+body a completed HTTP exchange (the
-// replica is alive, whatever it answered).
+// replica may be dead) and answers too long to relay, status+body a
+// completed HTTP exchange (the replica is alive, whatever it answered).
 type attemptOutcome struct {
 	m      *member
 	hedged bool
@@ -41,7 +49,7 @@ func (o attemptOutcome) ok() bool { return o.err == nil && o.status == http.Stat
 // everywhere and are relayed as-is.
 func (o attemptOutcome) retryable() bool {
 	if o.err != nil {
-		return true
+		return !errors.Is(o.err, errResponseTooLarge)
 	}
 	return o.status == http.StatusTooManyRequests || o.status >= 500
 }
@@ -199,7 +207,7 @@ func (r *Router) routeOn(ctx context.Context, path, key string, hedgeDelay time.
 				// Transport-level failure: evidence toward ejection.
 				// (A response, any response, is evidence of life and was
 				// already recorded by attempt.)
-				if !errors.Is(out.err, context.Canceled) {
+				if !errors.Is(out.err, context.Canceled) && !errors.Is(out.err, errResponseTooLarge) {
 					r.noteTransportFailure(out.m)
 				}
 			}
@@ -284,7 +292,8 @@ func (r *Router) attempt(ctx context.Context, path string, m *member, hedged boo
 		return out
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	// One byte past the cap tells a full answer from a longer one.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
 	if err != nil {
 		out.err = fmt.Errorf("fleet: reading %s response: %w", m.addr, err)
 		return out
@@ -292,6 +301,10 @@ func (r *Router) attempt(ctx context.Context, path string, m *member, hedged boo
 	// A completed exchange proves the replica is alive regardless of
 	// status; only transport failures count toward ejection.
 	m.touchAlive()
+	if len(data) > maxRelayBytes {
+		out.err = fmt.Errorf("%w: %s answered more than %d bytes", errResponseTooLarge, m.addr, maxRelayBytes)
+		return out
+	}
 	out.status = resp.StatusCode
 	out.header = resp.Header
 	out.body = data

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -306,5 +308,58 @@ func TestRouteExhaustionRelaysLastFailure(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") != "1" {
 		t.Errorf("Retry-After = %q, want the replica's own 1 relayed", rec.Header().Get("Retry-After"))
+	}
+}
+
+// A replica answer longer than the relay cap must not reach the client
+// cut short: the router fails the request with a structured too-large
+// error instead, does not fail over (every replica computes the same
+// answer) and does not count the replica as dead.
+func TestRouteRefusesOversizedAnswer(t *testing.T) {
+	defer noLeaks(t)
+	var primaryHits, secondaryHits atomic.Int64
+	huge := append(okPayload("matrix"), bytes.Repeat([]byte(" "), maxRelayBytes)...)
+	r, body := twoReplicaRouter(t,
+		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			primaryHits.Add(1)
+			w.Write(huge)
+		}),
+		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			secondaryHits.Add(1)
+			w.Write(okPayload("matrix"))
+		}), nil)
+
+	rec := post(t, NewHandler(r), body)
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("oversized answer relayed as %d, want 502", rec.Code)
+	}
+	var ep serve.ErrorPayload
+	if err := json.Unmarshal(rec.Body.Bytes(), &ep); err != nil {
+		t.Fatalf("router answer is not JSON: %v (%d bytes)", err, rec.Body.Len())
+	}
+	if ep.Kind != "too-large" || !strings.Contains(ep.Error, "relay cap") {
+		t.Errorf("error payload = %+v, want kind too-large naming the relay cap", ep)
+	}
+	if primaryHits.Load() != 1 || secondaryHits.Load() != 0 {
+		t.Errorf("hits = %d/%d, want 1/0 (no failover)", primaryHits.Load(), secondaryHits.Load())
+	}
+	if got := rec.Header().Get("Retry-After"); got != "" {
+		t.Errorf("Retry-After = %q on a permanent verdict", got)
+	}
+	if got := r.Registry().Counter(obs.MetricFleetAttempts, "replica", r.members[0].addr, "outcome", "fatal").Value(); got != 1 {
+		t.Errorf("primary fatal attempts = %d, want 1", got)
+	}
+	if h := r.members[0].health(); h.State != "alive" || h.FailStreak != 0 {
+		t.Errorf("replica that answered: state %s, fail streak %d, want alive and 0", h.State, h.FailStreak)
+	}
+
+	// An answer exactly at the cap is still relayed whole.
+	exact := append(okPayload("matrix"), bytes.Repeat([]byte(" "), maxRelayBytes-len(okPayload("matrix")))...)
+	r2, body2 := twoReplicaRouter(t,
+		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) { w.Write(exact) }),
+		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) { w.Write(okPayload("matrix")) }), nil)
+	rec = post(t, NewHandler(r2), body2)
+	if rec.Code != http.StatusOK || rec.Body.Len() != maxRelayBytes {
+		t.Errorf("answer at the cap: status %d, %d bytes, want 200 and %d bytes", rec.Code, rec.Body.Len(), maxRelayBytes)
 	}
 }

@@ -1,8 +1,10 @@
 package mcm
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/guard"
 	"repro/internal/rat"
 )
 
@@ -31,13 +33,13 @@ type EdgeResult struct {
 
 // MaxCycleRatioEdges computes the maximum cycle ratio ΣW/ΣD over all
 // directed cycles of an explicit n-node edge list, using the same Howard
-// policy iteration as MaxCycleRatio. Delays must be non-negative; a cycle
-// of zero total delay yields ErrDeadlock (its ratio would be infinite).
-func MaxCycleRatioEdges(n int, edges []Edge) (EdgeResult, error) {
+// policy iteration, under the same checkpoints, as MaxCycleRatioCtx.
+// Delays must be non-negative; a cycle of zero total delay yields
+// ErrDeadlock (its ratio would be infinite).
+func MaxCycleRatioEdges(ctx context.Context, n int, edges []Edge) (EdgeResult, error) {
 	if n < 0 {
 		return EdgeResult{}, fmt.Errorf("mcm: negative node count %d", n)
 	}
-	adj := make([][]edge, n)
 	for _, e := range edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return EdgeResult{}, fmt.Errorf("mcm: edge %d->%d outside 0..%d", e.From, e.To, n-1)
@@ -45,31 +47,18 @@ func MaxCycleRatioEdges(n int, edges []Edge) (EdgeResult, error) {
 		if e.D < 0 {
 			return EdgeResult{}, fmt.Errorf("mcm: edge %d->%d has negative delay %d", e.From, e.To, e.D)
 		}
-		adj[e.From] = append(adj[e.From], edge{to: e.To, w: e.W, d: e.D})
 	}
-
-	if hasZeroTokenCycle(n, adj) {
-		return EdgeResult{}, ErrDeadlock
-	}
-
-	alive := trimToCyclic(n, adj)
-	anyAlive := false
-	for _, a := range alive {
-		if a {
-			anyAlive = true
-			break
-		}
-	}
-	if !anyAlive {
-		return EdgeResult{HasCycle: false}, nil
-	}
-	res, err := howard(n, adj, alive)
+	meter := guard.NewMeter(ctx, "mcm")
+	adj, err := newGraph(meter, n, len(edges), func(i int) (int, edge) {
+		e := edges[i]
+		return e.From, edge{to: int32(e.To), w: e.W, d: e.D}
+	})
 	if err != nil {
 		return EdgeResult{}, err
 	}
-	crit := make([]int, len(res.Critical))
-	for i, a := range res.Critical {
-		crit[i] = int(a)
+	ratio, cycle, err := solve(meter, adj)
+	if err != nil || cycle == nil {
+		return EdgeResult{}, err
 	}
-	return EdgeResult{CycleRatio: res.CycleMean, Critical: crit, HasCycle: true}, nil
+	return EdgeResult{CycleRatio: ratio, Critical: cycle, HasCycle: true}, nil
 }

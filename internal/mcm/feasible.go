@@ -1,7 +1,7 @@
 package mcm
 
 import (
-	"fmt"
+	"math/big"
 
 	"repro/internal/rat"
 	"repro/internal/sdf"
@@ -17,50 +17,39 @@ func LambdaFeasible(g *sdf.Graph, lambda rat.Rat) (bool, error) {
 	if !g.IsHSDF() {
 		return false, ErrNotHSDF
 	}
-	n := g.NumActors()
-	type wedge struct {
-		from, to int
-		w        int64
-	}
-	edges := make([]wedge, 0, g.NumChannels())
+	edges := make([]Edge, 0, g.NumChannels())
 	for _, c := range g.Channels() {
-		exec := g.Actor(c.Src).Exec
-		// w = exec·den − num·tokens; overflow-checked via rat helpers.
-		t1, err := rat.FromInt(exec).MulInt(lambda.Den())
-		if err != nil {
-			return false, fmt.Errorf("mcm: feasibility: %w", err)
-		}
-		t2, err := rat.FromInt(int64(c.Initial)).MulInt(lambda.Num())
-		if err != nil {
-			return false, fmt.Errorf("mcm: feasibility: %w", err)
-		}
-		d, err := t1.Sub(t2)
-		if err != nil {
-			return false, fmt.Errorf("mcm: feasibility: %w", err)
-		}
-		edges = append(edges, wedge{from: int(c.Src), to: int(c.Dst), w: d.Num()})
+		edges = append(edges, Edge{From: int(c.Src), To: int(c.Dst), W: g.Actor(c.Src).Exec, D: int64(c.Initial)})
 	}
+	return lambdaFeasibleEdges(g.NumActors(), edges, big.NewRat(lambda.Num(), lambda.Den())), nil
+}
 
+// lambdaFeasibleEdges is the Bellman–Ford check of LambdaFeasible on an
+// explicit edge list. It computes in math/big, so it also judges
+// instances whose weights and delays come close to the int64 limits.
+func lambdaFeasibleEdges(n int, edges []Edge, lambda *big.Rat) bool {
+	num, den := lambda.Num(), lambda.Denom()
+	w := make([]big.Int, len(edges))
+	var t big.Int
+	for i, e := range edges {
+		w[i].Mul(big.NewInt(e.W), den)
+		w[i].Sub(&w[i], t.Mul(big.NewInt(e.D), num))
+	}
 	// Longest-path Bellman–Ford from a virtual source connected to all
 	// nodes with weight 0; a relaxation in round n reveals a positive
 	// cycle.
-	dist := make([]int64, n)
-	for round := 0; round < n; round++ {
+	dist := make([]big.Int, n)
+	for round := 0; round <= n; round++ {
 		changed := false
-		for _, e := range edges {
-			if d := dist[e.from] + e.w; d > dist[e.to] {
-				dist[e.to] = d
+		for i, e := range edges {
+			if t.Add(&dist[e.From], &w[i]); t.Cmp(&dist[e.To]) > 0 {
+				dist[e.To].Set(&t)
 				changed = true
 			}
 		}
 		if !changed {
-			return true, nil
+			return true
 		}
 	}
-	for _, e := range edges {
-		if dist[e.from]+e.w > dist[e.to] {
-			return false, nil // still relaxing: positive cycle
-		}
-	}
-	return true, nil
+	return false // still relaxing after n rounds: positive cycle
 }

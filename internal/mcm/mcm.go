@@ -6,14 +6,17 @@
 //
 // The primary algorithm is Howard's policy iteration, the consistently
 // fastest algorithm in the comparison of Dasdan, Irani and Gupta (DAC'99)
-// that the paper cites; a parametric Bellman–Ford feasibility check is
-// provided for cross-validation.
+// that the paper cites. It runs in exact int64 arithmetic and falls back
+// to checked rationals when a value outgrows int64 (howard.go); a
+// parametric Bellman–Ford feasibility check is provided for
+// cross-validation.
 package mcm
 
 import (
+	"context"
 	"errors"
-	"fmt"
 
+	"repro/internal/guard"
 	"repro/internal/rat"
 	"repro/internal/sdf"
 )
@@ -38,310 +41,245 @@ type Result struct {
 	HasCycle bool
 }
 
+// edge is one arc of the compact adjacency: its target, its weight (the
+// execution time of the source actor) and its delay (initial tokens).
 type edge struct {
-	to int
-	w  int64 // execution time of the source actor
-	d  int64 // initial tokens
+	to int32
+	w  int64
+	d  int64
+}
+
+// graph is a compact (CSR) adjacency: the out-edges of node v are
+// e[start[v]:start[v+1]], in input order.
+type graph struct {
+	start []int32
+	e     []edge
+}
+
+func (g *graph) n() int { return len(g.start) - 1 }
+
+// newGraph builds the adjacency of n nodes from an edge count and an
+// accessor, keeping each node's out-edges in input order (the policy
+// rule breaks ties by that order).
+func newGraph(meter *guard.Meter, n, m int, at func(i int) (from int, e edge)) (*graph, error) {
+	meter.Phase("build")
+	g := &graph{start: make([]int32, n+1), e: make([]edge, m)}
+	for i := 0; i < m; i++ {
+		from, _ := at(i)
+		g.start[from+1]++
+		if err := meter.Tick(1); err != nil {
+			return nil, err
+		}
+	}
+	for v := 0; v < n; v++ {
+		g.start[v+1] += g.start[v]
+	}
+	next := make([]int32, n)
+	copy(next, g.start[:n])
+	for i := 0; i < m; i++ {
+		from, e := at(i)
+		g.e[next[from]] = e
+		next[from]++
+		if err := meter.Tick(1); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 // MaxCycleRatio computes the maximum cycle mean of an HSDF graph. It
 // returns ErrDeadlock if some cycle carries no initial tokens and
-// ErrNotHSDF if any rate differs from 1.
-func MaxCycleRatio(g *sdf.Graph) (Result, error) {
+// ErrNotHSDF if any rate differs from 1. It cannot be cancelled; engines
+// serving a request use MaxCycleRatioCtx.
+func MaxCycleRatio(g *sdf.Graph) (Result, error) { return MaxCycleRatioCtx(context.Background(), g) }
+
+// MaxCycleRatioCtx is MaxCycleRatio under the deadline, cancellation and
+// fault injector carried by ctx: every policy round is a checkpoint of
+// the "mcm" guard engine, and every sweep over the nodes or edges polls
+// the context as it goes, so a cancelled computation returns an error
+// wrapping guard.ErrCanceled after at most the budget's CheckEvery
+// further work units.
+func MaxCycleRatioCtx(ctx context.Context, g *sdf.Graph) (Result, error) {
 	if !g.IsHSDF() {
 		return Result{}, ErrNotHSDF
 	}
-	n := g.NumActors()
-	adj := make([][]edge, n)
-	for _, c := range g.Channels() {
-		adj[c.Src] = append(adj[c.Src], edge{to: int(c.Dst), w: g.Actor(c.Src).Exec, d: int64(c.Initial)})
+	meter := guard.NewMeter(ctx, "mcm")
+	adj, err := hsdfGraph(meter, g)
+	if err != nil {
+		return Result{}, err
 	}
-
-	if hasZeroTokenCycle(n, adj) {
-		return Result{}, ErrDeadlock
+	ratio, cycle, err := solve(meter, adj)
+	if err != nil || cycle == nil {
+		return Result{}, err
 	}
-
-	alive := trimToCyclic(n, adj)
-	anyAlive := false
-	for _, a := range alive {
-		if a {
-			anyAlive = true
-			break
-		}
+	actors := make([]sdf.ActorID, len(cycle))
+	for i, v := range cycle {
+		actors[i] = sdf.ActorID(v)
 	}
-	if !anyAlive {
-		return Result{HasCycle: false}, nil
-	}
-	return howard(n, adj, alive)
+	return Result{CycleMean: ratio, Critical: actors, HasCycle: true}, nil
 }
 
-// hasZeroTokenCycle reports whether the subgraph of zero-token channels
+// hsdfGraph is the adjacency of an HSDF graph: one edge per channel,
+// weighted with the execution time of its source actor.
+func hsdfGraph(meter *guard.Meter, g *sdf.Graph) (*graph, error) {
+	chans := g.Channels()
+	return newGraph(meter, g.NumActors(), len(chans), func(i int) (int, edge) {
+		c := chans[i]
+		return int(c.Src), edge{to: int32(c.Dst), w: g.Actor(c.Src).Exec, d: int64(c.Initial)}
+	})
+}
+
+// solve is the common front end of both entry points: it rejects
+// zero-delay cycles, drops the nodes that cannot reach a cycle and runs
+// Howard's policy iteration on the rest. It returns the maximum cycle
+// ratio and one critical cycle as node indices of g, or a nil cycle when
+// g is acyclic.
+func solve(meter *guard.Meter, g *graph) (rat.Rat, []int, error) {
+	deadlock, err := hasZeroDelayCycle(meter, g)
+	if err != nil {
+		return rat.Rat{}, nil, err
+	}
+	if deadlock {
+		return rat.Rat{}, nil, ErrDeadlock
+	}
+	core, ids, err := trimToCyclic(meter, g)
+	if err != nil || core.n() == 0 {
+		return rat.Rat{}, nil, err
+	}
+	ratio, cycle, err := runHoward(meter, core)
+	if err != nil {
+		return rat.Rat{}, nil, err
+	}
+	out := make([]int, len(cycle))
+	for i, v := range cycle {
+		out[i] = ids[v]
+	}
+	return ratio, out, nil
+}
+
+// hasZeroDelayCycle reports whether the subgraph of zero-delay edges
 // contains a cycle (iterative colour DFS).
-func hasZeroTokenCycle(n int, adj [][]edge) bool {
+func hasZeroDelayCycle(meter *guard.Meter, g *graph) (bool, error) {
+	meter.Phase("zero-delay-check")
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
+	n := g.n()
 	colour := make([]byte, n)
-	type frame struct{ v, i int }
+	type frame struct{ v, i int32 }
+	var stack []frame
 	for s := 0; s < n; s++ {
 		if colour[s] != white {
 			continue
 		}
-		stack := []frame{{v: s}}
+		stack = append(stack[:0], frame{v: int32(s), i: g.start[s]})
 		colour[s] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			advanced := false
-			for f.i < len(adj[f.v]) {
-				e := adj[f.v][f.i]
-				f.i++
-				if e.d != 0 {
-					continue
-				}
-				switch colour[e.to] {
-				case grey:
-					return true
-				case white:
-					colour[e.to] = grey
-					stack = append(stack, frame{v: e.to})
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced {
+			if f.i == g.start[f.v+1] {
 				colour[f.v] = black
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := g.e[f.i]
+			f.i++
+			if err := meter.Tick(1); err != nil {
+				return false, err
+			}
+			if e.d != 0 {
+				continue
+			}
+			switch colour[e.to] {
+			case grey:
+				return true, nil
+			case white:
+				colour[e.to] = grey
+				stack = append(stack, frame{v: e.to, i: g.start[e.to]})
 			}
 		}
 	}
-	return false
+	return false, nil
 }
 
-// trimToCyclic marks the nodes that lie on or can reach a cycle by
-// repeatedly discarding nodes without outgoing edges into the alive set.
-func trimToCyclic(n int, adj [][]edge) []bool {
-	alive := make([]bool, n)
-	outdeg := make([]int, n)
-	radj := make([][]int, n) // reverse adjacency, nodes only
-	for v := range adj {
-		alive[v] = true
-		outdeg[v] = len(adj[v])
-		for _, e := range adj[v] {
-			radj[e.to] = append(radj[e.to], v)
+// trimToCyclic discards, repeatedly, the nodes without an out-edge into
+// the remaining set: what is left are the nodes on or upstream of a
+// cycle, each with at least one out-edge. It returns that subgraph,
+// renumbered densely, and the original index of each of its nodes (g
+// itself when nothing is discarded).
+func trimToCyclic(meter *guard.Meter, g *graph) (*graph, []int, error) {
+	meter.Phase("trim")
+	n := g.n()
+	outdeg := make([]int32, n)
+	rstart := make([]int32, n+1) // reverse adjacency (CSR), nodes only
+	for v := 0; v < n; v++ {
+		outdeg[v] = g.start[v+1] - g.start[v]
+		for _, e := range g.e[g.start[v]:g.start[v+1]] {
+			rstart[e.to+1]++
 		}
 	}
-	var queue []int
 	for v := 0; v < n; v++ {
-		if outdeg[v] == 0 {
-			queue = append(queue, v)
+		rstart[v+1] += rstart[v]
+	}
+	radj := make([]int32, len(g.e))
+	next := make([]int32, n)
+	copy(next, rstart[:n])
+	for v := 0; v < n; v++ {
+		for _, e := range g.e[g.start[v]:g.start[v+1]] {
+			radj[next[e.to]] = int32(v)
+			next[e.to]++
+		}
+	}
+	alive := make([]bool, n)
+	var queue []int32
+	for v := 0; v < n; v++ {
+		alive[v] = outdeg[v] > 0
+		if !alive[v] {
+			queue = append(queue, int32(v))
 		}
 	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		alive[v] = false
-		for _, u := range radj[v] {
+		if err := meter.Tick(int64(rstart[v+1] - rstart[v] + 1)); err != nil {
+			return nil, nil, err
+		}
+		for _, u := range radj[rstart[v]:rstart[v+1]] {
 			if !alive[u] {
 				continue
 			}
 			outdeg[u]--
 			if outdeg[u] == 0 {
+				alive[u] = false
 				queue = append(queue, u)
 			}
 		}
 	}
-	return alive
-}
 
-// howard runs policy iteration for the maximum cycle ratio on the alive
-// subgraph. Every alive node has at least one alive successor.
-func howard(n int, adj [][]edge, alive []bool) (Result, error) {
-	policy := make([]int, n) // index into adj[v] of the chosen edge
-	eta := make([]rat.Rat, n)
-	x := make([]rat.Rat, n)
+	ids := make([]int, 0, n)
+	index := next // reused: the new index of each surviving node
 	for v := 0; v < n; v++ {
-		policy[v] = -1
-		if !alive[v] {
-			continue
+		if alive[v] {
+			index[v] = int32(len(ids))
+			ids = append(ids, v)
 		}
-		for i, e := range adj[v] {
+	}
+	if len(ids) == n {
+		return g, ids, nil
+	}
+	core := &graph{start: make([]int32, len(ids)+1)}
+	for i, v := range ids {
+		for _, e := range g.e[g.start[v]:g.start[v+1]] {
 			if alive[e.to] {
-				policy[v] = i
-				break
+				e.to = index[e.to]
+				core.e = append(core.e, e)
 			}
 		}
-		if policy[v] < 0 {
-			return Result{}, fmt.Errorf("mcm: internal: alive node %d has no alive successor", v)
-		}
-	}
-
-	const maxIters = 10000
-	for iter := 0; iter < maxIters; iter++ {
-		if err := evaluatePolicy(n, adj, alive, policy, eta, x); err != nil {
-			return Result{}, err
-		}
-		improved := false
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			for i, e := range adj[v] {
-				if i == policy[v] || !alive[e.to] {
-					continue
-				}
-				switch eta[e.to].Cmp(eta[v]) {
-				case 1:
-					policy[v] = i
-					improved = true
-				case 0:
-					// reward = w − η·d + x(to); switch if it beats x(v).
-					reward, err := edgeReward(e, eta[v], x[e.to])
-					if err != nil {
-						return Result{}, err
-					}
-					if reward.Cmp(x[v]) > 0 {
-						policy[v] = i
-						improved = true
-					}
-				}
-			}
-		}
-		if !improved {
-			return finishHoward(n, adj, alive, policy, eta)
+		core.start[i+1] = int32(len(core.e))
+		if err := meter.Tick(int64(g.start[v+1] - g.start[v] + 1)); err != nil {
+			return nil, nil, err
 		}
 	}
-	return Result{}, fmt.Errorf("mcm: Howard's algorithm did not converge in %d iterations", maxIters)
-}
-
-func edgeReward(e edge, eta rat.Rat, xTo rat.Rat) (rat.Rat, error) {
-	etaD, err := eta.MulInt(e.d)
-	if err != nil {
-		return rat.Rat{}, fmt.Errorf("mcm: %w", err)
-	}
-	r, err := rat.FromInt(e.w).Sub(etaD)
-	if err != nil {
-		return rat.Rat{}, fmt.Errorf("mcm: %w", err)
-	}
-	r, err = r.Add(xTo)
-	if err != nil {
-		return rat.Rat{}, fmt.Errorf("mcm: %w", err)
-	}
-	return r, nil
-}
-
-// evaluatePolicy computes, for the functional policy graph, the cycle
-// ratio η(v) of the cycle each node eventually reaches and a bias x(v)
-// consistent with x(v) = w − η·d + x(π(v)) (with x fixed to 0 at one node
-// of each cycle).
-func evaluatePolicy(n int, adj [][]edge, alive []bool, policy []int, eta, x []rat.Rat) error {
-	state := make([]int8, n) // 0 unvisited, 1 on current walk, 2 done
-	for s := 0; s < n; s++ {
-		if !alive[s] || state[s] != 0 {
-			continue
-		}
-		// Follow the policy chain until any previously seen node.
-		var chain []int
-		v := s
-		for state[v] == 0 {
-			state[v] = 1
-			chain = append(chain, v)
-			v = adj[v][policy[v]].to
-		}
-		if state[v] == 1 {
-			// v is on the current chain: its suffix is a new cycle.
-			i := 0
-			for chain[i] != v {
-				i++
-			}
-			cyc := chain[i:]
-			var sumW, sumD int64
-			for _, u := range cyc {
-				e := adj[u][policy[u]]
-				sumW += e.w
-				sumD += e.d
-			}
-			if sumD == 0 {
-				return fmt.Errorf("mcm: internal: policy cycle without tokens")
-			}
-			ratio, err := rat.New(sumW, sumD)
-			if err != nil {
-				return fmt.Errorf("mcm: %w", err)
-			}
-			for _, u := range cyc {
-				eta[u] = ratio
-			}
-			// Fix the bias at the cycle entry and propagate backwards
-			// around the cycle (the successor of cyc[j] is cyc[j+1 mod m]).
-			x[cyc[0]] = rat.Zero()
-			for j := len(cyc) - 1; j >= 1; j-- {
-				u := cyc[j]
-				e := adj[u][policy[u]]
-				r, err := edgeReward(e, eta[u], x[e.to])
-				if err != nil {
-					return err
-				}
-				x[u] = r
-			}
-			for _, u := range cyc {
-				state[u] = 2
-			}
-		}
-		// The rest of the chain (everything before the done terminal) is a
-		// tree branch; fill it backwards so each successor is done first.
-		for i := len(chain) - 1; i >= 0; i-- {
-			u := chain[i]
-			if state[u] == 2 {
-				continue // node of the cycle handled above
-			}
-			e := adj[u][policy[u]]
-			eta[u] = eta[e.to]
-			r, err := edgeReward(e, eta[u], x[e.to])
-			if err != nil {
-				return err
-			}
-			x[u] = r
-			state[u] = 2
-		}
-	}
-	return nil
-}
-
-// finishHoward extracts the final answer: the maximum η and one cycle
-// attaining it in the final policy graph.
-func finishHoward(n int, adj [][]edge, alive []bool, policy []int, eta []rat.Rat) (Result, error) {
-	best := -1
-	for v := 0; v < n; v++ {
-		if !alive[v] {
-			continue
-		}
-		if best < 0 || eta[v].Cmp(eta[best]) > 0 {
-			best = v
-		}
-	}
-	if best < 0 {
-		return Result{HasCycle: false}, nil
-	}
-	// Walk the policy from best until a node repeats; that loop is a
-	// critical cycle (η is constant along a policy walk only downhill —
-	// at the maximum it stays constant into its cycle).
-	seenAt := make(map[int]int)
-	var walk []int
-	v := best
-	for {
-		if at, ok := seenAt[v]; ok {
-			cyc := walk[at:]
-			actors := make([]sdf.ActorID, len(cyc))
-			for i, u := range cyc {
-				actors[i] = sdf.ActorID(u)
-			}
-			return Result{CycleMean: eta[best], Critical: actors, HasCycle: true}, nil
-		}
-		seenAt[v] = len(walk)
-		walk = append(walk, v)
-		v = adj[v][policy[v]].to
-	}
+	return core, ids, nil
 }

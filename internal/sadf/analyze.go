@@ -61,7 +61,7 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	for i, e := range sedges {
 		edges[i] = mcm.Edge{From: e.From, To: e.To, W: e.W, D: e.D}
 	}
-	ratio, err := mcm.MaxCycleRatioEdges(nodes, edges)
+	ratio, err := mcm.MaxCycleRatioEdges(ctx, nodes, edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sadf: automaton cycle ratio: %w", err)
 	}

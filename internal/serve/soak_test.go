@@ -31,11 +31,17 @@ import (
 func TestServedSoak(t *testing.T) {
 	defer noLeaks(t)
 	clk := &fakeClock{now: time.Unix(0, 0)}
+	// The brownout ladder is pinned at exact: the storm may never hold
+	// half the request slots, nor push the recent p99 past the target.
+	// Otherwise the ladder would answer the post-storm breaker checks
+	// below with bounded answers, without running an engine, for its 2s
+	// de-escalation hold. The ladder has its own tests in degrade_test.go.
 	s := New(Options{
-		Workers:        8,
-		QueueDepth:     256,
-		AllowInjection: true,
-		Breaker:        guard.BreakerOptions{Threshold: 3, Cooldown: time.Second, Now: clk.Now},
+		Workers:          8,
+		QueueDepth:       512,
+		AllowInjection:   true,
+		Breaker:          guard.BreakerOptions{Threshold: 3, Cooldown: time.Second, Now: clk.Now},
+		DegradeTargetP99: time.Hour,
 	})
 
 	deadlocked := func() *sdf.Graph {
