@@ -56,6 +56,18 @@ echo '== fuzz smoke: FuzzMaxCycleRatio (10s)'
 # oracle on small edge lists with weights and delays up to near 2^62.
 timeout 120 go test -run='^$' -fuzz='^FuzzMaxCycleRatio$' -fuzztime=10s ./internal/mcm
 
+echo '== fuzz smoke: FuzzTopologyRank (10s)'
+# The consistency precheck's linear rank(Γ) and its conflicting-channel
+# witnesses against the dense Gaussian elimination and the reference
+# propagation, on small multigraphs with rates up to near 2^62.
+timeout 120 go test -run='^$' -fuzz='^FuzzTopologyRank$' -fuzztime=10s ./internal/lint
+
+echo '== bench: Figure-5 prefetch full frame (one iteration, 60s cap)'
+# ComputeThroughput on Prefetch(1584,3), precheck included: tens of
+# milliseconds when the precheck is linear, so the cap fails loudly if
+# super-linear work returns in front of the engines.
+timeout 60 go test -run='^$' -bench='^BenchmarkFigure5PrefetchFull$' -benchtime=1x .
+
 echo '== sdftool reduce -verify over the reduction corpus'
 # Every corpus graph must reduce (or reach the trivial fixpoint), and
 # the lifted certificate chain must re-check against the original.

@@ -225,11 +225,22 @@ func TestRouteHedgeLoss(t *testing.T) {
 	defer noLeaks(t)
 	release := make(chan struct{})
 	defer close(release)
+	hedgeArrived := make(chan struct{})
 	r, body := twoReplicaRouter(t,
 		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			// The primary answers only once the hedge is in flight. An
+			// instant answer could reach the router before its zero-delay
+			// hedge timer does (a router goroutine descheduled under load
+			// sees both ready and may pick the answer); then no hedge is
+			// launched and no loss is counted.
+			select {
+			case <-hedgeArrived:
+			case <-req.Context().Done():
+			}
 			w.Write(okPayload("matrix"))
 		}),
 		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			close(hedgeArrived)
 			// The hedge target blocks until cancelled: the primary must
 			// win every race. Body drained so disconnect detection works.
 			io.ReadAll(req.Body)

@@ -168,9 +168,11 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Pass is one registered analysis. Cheap passes are linear (or nearly) in
-// the graph size and run as facade prechecks; expensive ones only run
-// through Analyze.
+// Pass is one registered analysis. Cheap passes cost O(V+E) up to
+// sorting and rate gcds — consistency included, whose rank(Γ) comes from
+// one spanning-forest propagation — because they run as prechecks in
+// front of every engine, and in the serving layer before admission has
+// priced the request. Expensive ones only run through Analyze.
 type Pass struct {
 	Name  string
 	Doc   string

@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/csdf"
+	"repro/internal/gen"
 	"repro/internal/passes"
+	"repro/internal/rat"
 	"repro/internal/schedule"
 	"repro/internal/sdf"
 )
@@ -365,4 +370,407 @@ func TestAnalyzeCSDF(t *testing.T) {
 	if rep.Count(Info) == 0 {
 		t.Errorf("zero-time CSDF actor not reported:\n%s", rep)
 	}
+}
+
+// denseTopologyRank is the reference rank: Gaussian elimination of Γ over
+// exact rationals, O(C·n²). ok is false when an intermediate overflows
+// int64.
+func denseTopologyRank(g *sdf.Graph) (rank int, ok bool) {
+	n := g.NumActors()
+	rows := make([][]rat.Rat, 0, g.NumChannels())
+	for _, c := range g.Channels() {
+		row := make([]rat.Rat, n)
+		if c.Src == c.Dst {
+			row[c.Src] = rat.FromInt(int64(c.Prod) - int64(c.Cons))
+		} else {
+			row[c.Src] = rat.FromInt(int64(c.Prod))
+			row[c.Dst] = rat.FromInt(int64(-c.Cons))
+		}
+		rows = append(rows, row)
+	}
+	for col := 0; col < n && rank < len(rows); col++ {
+		pivot := -1
+		for i := rank; i < len(rows); i++ {
+			if !rows[i][col].IsZero() {
+				pivot = i
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		rows[rank], rows[pivot] = rows[pivot], rows[rank]
+		p := rows[rank][col]
+		for i := rank + 1; i < len(rows); i++ {
+			if rows[i][col].IsZero() {
+				continue
+			}
+			f, err := rows[i][col].Div(p)
+			if err != nil {
+				return 0, false
+			}
+			for j := col; j < n; j++ {
+				t, err := f.Mul(rows[rank][j])
+				if err != nil {
+					return 0, false
+				}
+				rows[i][j], err = rows[i][j].Sub(t)
+				if err != nil {
+					return 0, false
+				}
+			}
+		}
+		rank++
+	}
+	return rank, true
+}
+
+// referenceConflicts is the reference witness set: rates propagated by
+// BFS over per-actor adjacency lists, every channel that disagrees (or
+// overflows) collected in a set.
+func referenceConflicts(g *sdf.Graph) []sdf.ChannelID {
+	n := g.NumActors()
+	type half struct {
+		other        sdf.ActorID
+		mine, theirs int
+		ch           sdf.ChannelID
+	}
+	adj := make([][]half, n)
+	for i, c := range g.Channels() {
+		adj[c.Src] = append(adj[c.Src], half{other: c.Dst, mine: c.Prod, theirs: c.Cons, ch: sdf.ChannelID(i)})
+		adj[c.Dst] = append(adj[c.Dst], half{other: c.Src, mine: c.Cons, theirs: c.Prod, ch: sdf.ChannelID(i)})
+	}
+	rates := make([]rat.Rat, n)
+	assigned := make([]bool, n)
+	bad := make(map[sdf.ChannelID]bool)
+	for start := 0; start < n; start++ {
+		if assigned[start] {
+			continue
+		}
+		queue := []sdf.ActorID{sdf.ActorID(start)}
+		rates[start] = rat.One()
+		assigned[start] = true
+		for head := 0; head < len(queue); head++ {
+			a := queue[head]
+			for _, h := range adj[a] {
+				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
+				if err != nil {
+					bad[h.ch] = true
+					continue
+				}
+				if !assigned[h.other] {
+					rates[h.other] = want
+					assigned[h.other] = true
+					queue = append(queue, h.other)
+				} else if !rates[h.other].Equal(want) {
+					bad[h.ch] = true
+				}
+			}
+		}
+	}
+	ids := make([]sdf.ChannelID, 0, len(bad))
+	for id := range bad {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// rankTally counts the corpus shapes checkTopologyRank has seen, so the
+// property test can insist that each one was exercised.
+type rankTally struct {
+	graphs, inconsistent, multiComponent, undecided, denseOverflow, summaryGained int
+}
+
+// checkTopologyRank holds propagateRates to the references on g: the rank
+// equals the dense elimination's whenever both are exact, the witness set
+// is the reference's, and the consistency pass reports the same
+// diagnostics as when it ranked Γ by elimination — except that a graph
+// whose elimination overflowed now gains its rank summary line.
+func checkTopologyRank(t *testing.T, g *sdf.Graph, tally *rankTally) {
+	t.Helper()
+	forest := propagateRates(g)
+	dense, denseOK := denseTopologyRank(g)
+	n := g.NumActors()
+	comps := len(passes.NewFacts(g).Components())
+	tally.graphs++
+	if comps > 1 {
+		tally.multiComponent++
+	}
+	if !denseOK {
+		tally.denseOverflow++
+	}
+	if !forest.ok {
+		tally.undecided++
+		if len(forest.conflicts) == 0 {
+			t.Errorf("%s: propagation overflowed but reported no witness", g.Name())
+		}
+	}
+	if forest.ok && denseOK && forest.rank != dense {
+		t.Errorf("%s: linear rank %d, dense rank %d", g.Name(), forest.rank, dense)
+	}
+	ref := referenceConflicts(g)
+	if fmt.Sprint(forest.conflicts) != fmt.Sprint(ref) {
+		t.Errorf("%s: witnesses %v, reference %v", g.Name(), forest.conflicts, ref)
+	}
+	_, qErr := g.RepetitionVector()
+	if qErr == nil && len(ref) != 0 {
+		t.Errorf("%s: consistent graph has witnesses %v", g.Name(), ref)
+	}
+	if forest.ok && !errors.Is(qErr, rat.ErrOverflow) && (qErr == nil) != (forest.rank == n-comps) {
+		t.Errorf("%s: rank %d (n=%d, c=%d) disagrees with solver (%v)", g.Name(), forest.rank, n, comps, qErr)
+	}
+	if !errors.Is(qErr, sdf.ErrInconsistent) {
+		return
+	}
+	tally.inconsistent++
+	rep := analyze(t, g, "consistency")
+	var summaries, witnesses []string
+	for _, d := range rep.Diagnostics {
+		if strings.HasPrefix(d.Msg, "internal:") {
+			t.Errorf("%s: %s", g.Name(), d.Msg)
+		}
+		if d.Channel != "" {
+			witnesses = append(witnesses, d.Channel)
+		} else {
+			summaries = append(summaries, d.Msg)
+		}
+	}
+	var wantWitnesses []string
+	for _, id := range ref {
+		wantWitnesses = append(wantWitnesses, chanLabel(g, g.Channel(id)))
+	}
+	if fmt.Sprint(witnesses) != fmt.Sprint(wantWitnesses) {
+		t.Errorf("%s: witness diagnostics %q, want %q", g.Name(), witnesses, wantWitnesses)
+	}
+	switch {
+	case denseOK && len(summaries) != 1:
+		t.Errorf("%s: %d rank summary lines, want 1 (dense rank %d)", g.Name(), len(summaries), dense)
+	case denseOK && !strings.Contains(summaries[0], fmt.Sprintf("rank %d over %d actors in %d component(s)", dense, n, comps)):
+		t.Errorf("%s: summary %q, want dense rank %d", g.Name(), summaries[0], dense)
+	case len(summaries) > 1:
+		t.Errorf("%s: %d rank summary lines", g.Name(), len(summaries))
+	case !denseOK && len(summaries) == 1:
+		tally.summaryGained++
+	}
+}
+
+// rebuilt copies g under a new name, passing every channel through edit.
+func rebuilt(g *sdf.Graph, name string, edit func(i int, c *sdf.Channel)) *sdf.Graph {
+	out := sdf.NewGraph(name)
+	for a := 0; a < g.NumActors(); a++ {
+		act := g.Actor(sdf.ActorID(a))
+		out.MustAddActor(act.Name, act.Exec)
+	}
+	for i, c := range g.Channels() {
+		if edit != nil {
+			edit(i, &c)
+		}
+		out.MustAddChannel(c.Src, c.Dst, c.Prod, c.Cons, c.Initial)
+	}
+	return out
+}
+
+// disjointUnion places the given graphs side by side in one graph.
+func disjointUnion(name string, gs ...*sdf.Graph) *sdf.Graph {
+	out := sdf.NewGraph(name)
+	for k, g := range gs {
+		base := sdf.ActorID(out.NumActors())
+		for a := 0; a < g.NumActors(); a++ {
+			act := g.Actor(sdf.ActorID(a))
+			out.MustAddActor(fmt.Sprintf("g%d.%s", k, act.Name), act.Exec)
+		}
+		for _, c := range g.Channels() {
+			out.MustAddChannel(base+c.Src, base+c.Dst, c.Prod, c.Cons, c.Initial)
+		}
+	}
+	return out
+}
+
+// TestTopologyRankOracle is the property test of the linear rank: random
+// consistent graphs, the same with one rate perturbed, disjoint unions of
+// balanced and unbalanced components, unbalanced self-loops and rates
+// that overflow the propagation, all against the dense reference.
+func TestTopologyRankOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var tally rankTally
+	var pool []*sdf.Graph
+	for i := 0; i < 150; i++ {
+		g, err := gen.RandomGraph(rng, gen.RandomOptions{
+			Actors: 1 + rng.Intn(10), MaxRep: 1 + rng.Int63n(6), MaxExec: 3,
+			Chords: rng.Intn(8), SelfLoop: rng.Intn(4) == 0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = rebuilt(g, fmt.Sprintf("random%d", i), nil)
+		pool = append(pool, g)
+		if g.NumChannels() > 0 {
+			k := rng.Intn(g.NumChannels())
+			bump := 1 + rng.Intn(3)
+			pool = append(pool, rebuilt(g, fmt.Sprintf("perturbed%d", i), func(j int, c *sdf.Channel) {
+				if j == k {
+					c.Prod += bump
+				}
+			}))
+		}
+	}
+	for _, g := range pool {
+		checkTopologyRank(t, g, &tally)
+	}
+	for i := 0; i < 60; i++ {
+		parts := make([]*sdf.Graph, 2+rng.Intn(3))
+		for j := range parts {
+			parts[j] = pool[rng.Intn(len(pool))]
+		}
+		checkTopologyRank(t, disjointUnion(fmt.Sprintf("union%d", i), parts...), &tally)
+	}
+
+	// Self-loops with prod ≠ cons, alone and inside a balanced ring.
+	loop := sdf.NewGraph("selfloop")
+	a := loop.MustAddActor("A", 1)
+	loop.MustAddChannel(a, a, 2, 1, 1)
+	checkTopologyRank(t, loop, &tally)
+	ring := rebuilt(healthyGraph(), "ring+selfloop", nil)
+	ring.MustAddChannel(0, 0, 1, 3, 3)
+	checkTopologyRank(t, ring, &tally)
+	checkTopologyRank(t, disjointUnion("loop+healthy", loop, healthyGraph(), inconsistentGraph()), &tally)
+
+	// Rates that overflow the int64 propagation: chains compounding 2^62
+	// per hop. Two hops are decided exactly by the math/big fallback,
+	// alone and beside a conflict in the same component; twenty hops
+	// outgrow exactRateBits and stay undecided, witnesses still reported.
+	chain := func(name string, hops int) *sdf.Graph {
+		g := sdf.NewGraph(name)
+		prev := g.MustAddActor("X0", 1)
+		for i := 1; i <= hops; i++ {
+			next := g.MustAddActor(fmt.Sprintf("X%d", i), 1)
+			g.MustAddChannel(prev, next, 1<<62, 1, 0)
+			prev = next
+		}
+		return g
+	}
+	short, long := chain("chain2", 2), chain("chain20", 20)
+	if f := propagateRates(short); !f.ok || f.rank != 2 || len(f.conflicts) == 0 {
+		t.Errorf("2-hop 2^62 chain: rank %d ok=%v conflicts=%v, want 2 true with witnesses", f.rank, f.ok, f.conflicts)
+	}
+	if f := propagateRates(long); f.ok || len(f.conflicts) == 0 {
+		t.Errorf("20-hop 2^62 chain: ok=%v conflicts=%v, want undecided with witnesses", f.ok, f.conflicts)
+	}
+	if f := propagateRates(disjointUnion("chain20+inconsistent", long, inconsistentGraph())); f.ok {
+		t.Errorf("undecided component judged: rank %d", f.rank)
+	}
+	conflicted := rebuilt(inconsistentGraph(), "conflict+chain2", nil)
+	tail := conflicted.MustAddActor("C", 1)
+	conflicted.MustAddChannel(1, tail, 1<<62, 1, 0)
+	conflicted.MustAddChannel(tail, 0, 1<<62, 1, 0)
+	if f := propagateRates(conflicted); !f.ok || f.rank != 3 {
+		t.Errorf("conflict beside overflow: rank %d ok=%v, want 3 true", f.rank, f.ok)
+	}
+	for _, g := range []*sdf.Graph{short, long, conflicted, disjointUnion("inconsistent+chain2", inconsistentGraph(), short)} {
+		checkTopologyRank(t, g, &tally)
+	}
+	for i := 0; i < 20; i++ {
+		g := pool[rng.Intn(len(pool))]
+		if g.NumChannels() == 0 {
+			continue
+		}
+		k := rng.Intn(g.NumChannels())
+		checkTopologyRank(t, rebuilt(g, fmt.Sprintf("huge%d", i), func(j int, c *sdf.Channel) {
+			if j == k || j == (k+1)%g.NumChannels() {
+				c.Prod = 1<<62 - c.Prod
+			}
+		}), &tally)
+	}
+	if tally.inconsistent == 0 || tally.multiComponent == 0 || tally.undecided == 0 {
+		t.Errorf("corpus misses a shape: %+v", tally)
+	}
+	t.Logf("corpus: %+v", tally)
+}
+
+// FuzzTopologyRank decodes small multigraphs — one actor count byte, then
+// four bytes per channel (src, dst, prod, cons) with rates from 1 to
+// near 2^62 — and holds the linear rank and witnesses to the references.
+func FuzzTopologyRank(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 1, 1, 0, 1, 2, 1})
+	f.Add([]byte{2, 0, 1, 2, 1, 1, 2, 1, 2, 2, 0, 1, 1, 3, 3, 1, 2})
+	f.Add([]byte{2, 0, 1, 0xc0, 1, 1, 2, 0xc0, 1, 0, 0, 2, 1})
+	f.Add([]byte{5, 0, 1, 0x81, 1, 1, 0, 1, 0x81, 2, 3, 1, 2, 4, 5, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		data = data[1:]
+		// The top two bits of a rate byte select its magnitude: small
+		// (1..4), near 2^31 or near 2^62.
+		rate := func(b byte) int {
+			switch b >> 6 {
+			case 2:
+				return 1<<31 - int(b&0x3f)
+			case 3:
+				return 1<<62 - int(b&0x3f)
+			}
+			return 1 + int(b&3)
+		}
+		g := sdf.NewGraph("fuzz")
+		for a := 0; a < n; a++ {
+			g.MustAddActor(fmt.Sprintf("a%d", a), 1)
+		}
+		for len(data) >= 4 && g.NumChannels() < 24 {
+			g.MustAddChannel(sdf.ActorID(int(data[0])%n), sdf.ActorID(int(data[1])%n), rate(data[2]), rate(data[3]), 1)
+			data = data[4:]
+		}
+		checkTopologyRank(t, g, &rankTally{})
+	})
+}
+
+// precheckAlloc returns the bytes one PrecheckWith call allocates on g,
+// facts included.
+func precheckAlloc(t *testing.T, g *sdf.Graph) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := PrecheckWith(passes.NewFacts(g)); err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPrecheckScalesLinearly guards the precheck against super-linear
+// work: the paper's full Figure-5 prefetch frame (1584 blocks) may
+// allocate at most twice the actor ratio over the 96-block graph.
+func TestPrecheckScalesLinearly(t *testing.T) {
+	small, large := must(gen.Prefetch(96, 3)), must(gen.Prefetch(1584, 3))
+	precheckAlloc(t, small) // warm lazily built package state
+	sb, lb := precheckAlloc(t, small), precheckAlloc(t, large)
+	actorRatio := float64(large.NumActors()) / float64(small.NumActors())
+	ratio := float64(lb) / float64(sb)
+	t.Logf("precheck bytes: %d (%d actors) -> %d (%d actors), ×%.1f for ×%.1f actors",
+		sb, small.NumActors(), lb, large.NumActors(), ratio, actorRatio)
+	if ratio > 2*actorRatio {
+		t.Errorf("precheck allocation grew ×%.1f for ×%.1f actors: super-linear", ratio, actorRatio)
+	}
+}
+
+func BenchmarkPrecheck(b *testing.B) {
+	for _, g := range []*sdf.Graph{must(gen.Prefetch(96, 3)), must(gen.Figure1(96)), must(gen.Prefetch(1584, 3))} {
+		b.Run(g.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := PrecheckWith(passes.NewFacts(g)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func must(g *sdf.Graph, err error) *sdf.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

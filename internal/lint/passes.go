@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 	"strings"
 
@@ -23,14 +24,16 @@ func chanLabel(g *sdf.Graph, c sdf.Channel) string {
 // runConsistency decides solvability of the balance equations through the
 // nullspace of the topology matrix Γ (one row per channel: +prod at the
 // source column, −cons at the destination; self-loops contribute
-// prod−cons), computed by Gaussian elimination over internal/rat. A graph
-// with c weakly connected components is consistent iff rank(Γ) = n − c,
-// i.e. every component contributes exactly one nullspace dimension — the
-// ray spanned by its repetition vector (Lee & Messerschmitt).
+// prod−cons). A graph with c weakly connected components is consistent
+// iff rank(Γ) = n − c, i.e. every component contributes exactly one
+// nullspace dimension — the ray spanned by its repetition vector (Lee &
+// Messerschmitt).
 //
-// When the rank is too large, the pass localises the fault: rates are
-// propagated over a spanning forest and every non-tree channel whose
-// balance equation disagrees with the propagated rates is reported.
+// The rank comes from propagateRates in O(V+E) and is cross-checked
+// against the repetition-vector solver on every graph; a disagreement is
+// reported as an internal error. When the rank is too large, the same
+// propagation localises the fault: every non-tree channel whose balance
+// equation disagrees with the propagated rates is reported.
 func runConsistency(cx *context) []Diagnostic {
 	g := cx.g
 	n := g.NumActors()
@@ -42,7 +45,7 @@ func runConsistency(cx *context) []Diagnostic {
 		// overflow); the overflow pass owns that diagnostic.
 		return nil
 	}
-	rank, rankOK := topologyRank(g)
+	forest := propagateRates(g)
 	comps := cx.facts.Components()
 	nComps := 0
 	for _, c := range comps {
@@ -52,144 +55,217 @@ func runConsistency(cx *context) []Diagnostic {
 	}
 	consistent := cx.qErr == nil
 	var out []Diagnostic
-	if rankOK && consistent != (rank == n-nComps) {
+	if forest.ok && consistent != (forest.rank == n-nComps) {
 		// The two decision procedures disagree: that is a bug in one of
 		// them, and worth shouting about rather than hiding.
 		out = append(out, Diagnostic{
 			Pass: "consistency", Severity: Error,
-			Msg: fmt.Sprintf("internal: topology-matrix rank %d (n=%d, components=%d) contradicts the repetition-vector solver", rank, n, nComps),
+			Msg: fmt.Sprintf("internal: topology-matrix rank %d (n=%d, components=%d) contradicts the repetition-vector solver", forest.rank, n, nComps),
 		})
 		return out
 	}
 	if consistent {
 		return nil
 	}
-	if rankOK {
+	if forest.ok {
 		out = append(out, Diagnostic{
 			Pass: "consistency", Severity: Error,
 			Msg: fmt.Sprintf("graph is not consistent: topology matrix has rank %d over %d actors in %d component(s); the balance equations admit only the zero solution",
-				rank, n, nComps),
+				forest.rank, n, nComps),
 			Fix: "adjust the rates of the channels reported below until every cycle's rate product is balanced",
 		})
 	}
-	out = append(out, unbalancedChannels(g)...)
-	return out
-}
-
-// topologyRank computes rank(Γ) by fraction-free-ish Gaussian elimination
-// over exact rationals. ok is false when an intermediate overflows int64
-// (absurd rates); callers then fall back to the propagation witnesses.
-func topologyRank(g *sdf.Graph) (rank int, ok bool) {
-	n := g.NumActors()
-	rows := make([][]rat.Rat, 0, g.NumChannels())
-	for _, c := range g.Channels() {
-		row := make([]rat.Rat, n)
-		if c.Src == c.Dst {
-			row[c.Src] = rat.FromInt(int64(c.Prod) - int64(c.Cons))
-		} else {
-			row[c.Src] = rat.FromInt(int64(c.Prod))
-			row[c.Dst] = rat.FromInt(int64(-c.Cons))
-		}
-		rows = append(rows, row)
-	}
-	for col := 0; col < n && rank < len(rows); col++ {
-		pivot := -1
-		for i := rank; i < len(rows); i++ {
-			if !rows[i][col].IsZero() {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[rank], rows[pivot] = rows[pivot], rows[rank]
-		p := rows[rank][col]
-		for i := rank + 1; i < len(rows); i++ {
-			if rows[i][col].IsZero() {
-				continue
-			}
-			f, err := rows[i][col].Div(p)
-			if err != nil {
-				return 0, false
-			}
-			for j := col; j < n; j++ {
-				t, err := f.Mul(rows[rank][j])
-				if err != nil {
-					return 0, false
-				}
-				rows[i][j], err = rows[i][j].Sub(t)
-				if err != nil {
-					return 0, false
-				}
-			}
-		}
-		rank++
-	}
-	return rank, true
-}
-
-// unbalancedChannels propagates rational firing rates over a spanning
-// forest (BFS from an arbitrary root per component, rate 1) and reports
-// every channel whose balance equation q(src)·prod = q(dst)·cons the
-// propagated rates violate. Tree channels always agree by construction,
-// so each diagnostic names a genuinely conflicting constraint.
-func unbalancedChannels(g *sdf.Graph) []Diagnostic {
-	n := g.NumActors()
-	type half struct {
-		other        sdf.ActorID
-		mine, theirs int
-		ch           sdf.ChannelID
-	}
-	adj := make([][]half, n)
-	for i, c := range g.Channels() {
-		adj[c.Src] = append(adj[c.Src], half{other: c.Dst, mine: c.Prod, theirs: c.Cons, ch: sdf.ChannelID(i)})
-		adj[c.Dst] = append(adj[c.Dst], half{other: c.Src, mine: c.Cons, theirs: c.Prod, ch: sdf.ChannelID(i)})
-	}
-	rates := make([]rat.Rat, n)
-	assigned := make([]bool, n)
-	bad := make(map[sdf.ChannelID]bool)
-	for start := 0; start < n; start++ {
-		if assigned[start] {
-			continue
-		}
-		queue := []sdf.ActorID{sdf.ActorID(start)}
-		rates[start] = rat.One()
-		assigned[start] = true
-		for head := 0; head < len(queue); head++ {
-			a := queue[head]
-			for _, h := range adj[a] {
-				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
-				if err != nil {
-					bad[h.ch] = true
-					continue
-				}
-				if !assigned[h.other] {
-					rates[h.other] = want
-					assigned[h.other] = true
-					queue = append(queue, h.other)
-				} else if !rates[h.other].Equal(want) {
-					bad[h.ch] = true
-				}
-			}
-		}
-	}
-	ids := make([]sdf.ChannelID, 0, len(bad))
-	for id := range bad {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Diagnostic, 0, len(ids))
-	for _, id := range ids {
-		c := g.Channel(id)
+	for _, id := range forest.conflicts {
 		out = append(out, Diagnostic{
 			Pass: "consistency", Severity: Error,
-			Channel: chanLabel(g, c),
+			Channel: chanLabel(g, g.Channel(id)),
 			Msg:     "balance equation q(src)·prod = q(dst)·cons conflicts with the rates implied by the rest of the graph",
 			Fix:     "change prod/cons on this channel (or on the conflicting path) so the cycle's rate product is 1",
 		})
 	}
 	return out
+}
+
+// rateForest is the outcome of one rate propagation over a spanning
+// forest of the graph.
+type rateForest struct {
+	// rank is rank(Γ); it is meaningful only when ok.
+	rank int
+	// ok is false when some component's rates outgrow even the exact
+	// fallback (exactRateBits) before its balance is decided.
+	ok bool
+	// conflicts lists, in ascending order, every channel whose balance
+	// equation the int64 rates violate (or could not be evaluated on for
+	// overflow).
+	conflicts []sdf.ChannelID
+}
+
+// rateHalf is one channel seen from one of its endpoints:
+// q(this)·mine = q(other)·theirs.
+type rateHalf struct {
+	other        sdf.ActorID
+	mine, theirs int
+	ch           sdf.ChannelID
+}
+
+// exactRateBits caps the size (numerator plus denominator bits) of a
+// rate in the math/big fallback, so a hostile rate pattern still costs
+// O(E) bounded-size multiplications.
+const exactRateBits = 1024
+
+// propagateRates computes rank(Γ) and the conflicting channels in one
+// breadth-first pass per weakly connected component: rational firing
+// rates spread from an arbitrary root (rate 1) over a spanning tree, and
+// every channel is checked against them.
+//
+// Rank argument: within a component of k actors, the k−1 rows of the
+// spanning tree are linearly independent (peel off a leaf: its column is
+// non-zero in exactly one tree row, as every rate is ≥ 1), so the block's
+// rank is k−1 or k. The tree rows' nullspace is the ray of the propagated
+// rates, so the rank is k−1 exactly when those rates satisfy every
+// channel of the component — a self-loop with prod ≠ cons never does.
+// Hence rank(Γ) = n − #balanced components.
+//
+// Tree channels agree by construction, so each conflict names a
+// genuinely contradicting constraint. A rate that overflows int64 leaves
+// its actor to a later tree, rooted afresh; checks between two trees
+// compare unrelated scales, so only a conflict inside one tree decides
+// its component unbalanced. A component that overflowed without one is
+// decided by exactlyBalanced.
+func propagateRates(g *sdf.Graph) rateForest {
+	n := g.NumActors()
+	chans := g.Channels()
+	// Compressed adjacency: each actor's halves in channel order, in one
+	// backing array; actor a's are halves[start[a]:start[a+1]].
+	start := make([]int, n+1)
+	for _, c := range chans {
+		start[c.Src+1]++
+		start[c.Dst+1]++
+	}
+	for a := 0; a < n; a++ {
+		start[a+1] += start[a]
+	}
+	halves := make([]rateHalf, 2*len(chans))
+	fill := append([]int(nil), start[:n]...)
+	for i, c := range chans {
+		halves[fill[c.Src]] = rateHalf{other: c.Dst, mine: c.Prod, theirs: c.Cons, ch: sdf.ChannelID(i)}
+		fill[c.Src]++
+		halves[fill[c.Dst]] = rateHalf{other: c.Src, mine: c.Cons, theirs: c.Prod, ch: sdf.ChannelID(i)}
+		fill[c.Dst]++
+	}
+	rates := make([]rat.Rat, n)
+	tree := make([]int, n) // spanning-tree index + 1; 0 = not yet reached
+	bad := make([]bool, len(chans))
+	var roots []sdf.ActorID
+	var conflict, overflow []bool // per tree
+	queue := make([]sdf.ActorID, 0, n)
+	for root := 0; root < n; root++ {
+		if tree[root] != 0 {
+			continue
+		}
+		roots = append(roots, sdf.ActorID(root))
+		conflict, overflow = append(conflict, false), append(overflow, false)
+		t := len(roots)
+		queue = append(queue[:0], sdf.ActorID(root))
+		rates[root] = rat.One()
+		tree[root] = t
+		for head := 0; head < len(queue); head++ {
+			a := queue[head]
+			for _, h := range halves[start[a]:start[a+1]] {
+				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
+				if err != nil {
+					bad[h.ch] = true
+					overflow[t-1] = true
+					continue
+				}
+				if tree[h.other] == 0 {
+					rates[h.other] = want
+					tree[h.other] = t
+					queue = append(queue, h.other)
+				} else if !rates[h.other].Equal(want) {
+					bad[h.ch] = true
+					if tree[h.other] == t {
+						conflict[t-1] = true
+					}
+				}
+			}
+		}
+	}
+	// Trees split a component only across overflowing channels; merge
+	// them back so each component is judged as a whole.
+	comp := make([]int, len(roots))
+	for i := range comp {
+		comp[i] = i
+	}
+	find := func(i int) int {
+		for comp[i] != i {
+			comp[i] = comp[comp[i]]
+			i = comp[i]
+		}
+		return i
+	}
+	for _, c := range chans {
+		if a, b := find(tree[c.Src]-1), find(tree[c.Dst]-1); a != b {
+			comp[a] = b
+			conflict[b] = conflict[b] || conflict[a]
+			overflow[b] = overflow[b] || overflow[a]
+		}
+	}
+	forest := rateForest{rank: n, ok: true}
+	for i := range comp {
+		if find(i) != i {
+			continue
+		}
+		balanced := !conflict[i]
+		if balanced && overflow[i] {
+			var decided bool
+			balanced, decided = exactlyBalanced(roots[i], start, halves)
+			forest.ok = forest.ok && decided
+		}
+		if balanced {
+			forest.rank-- // one nullspace dimension
+		}
+	}
+	for id, b := range bad {
+		if b {
+			forest.conflicts = append(forest.conflicts, sdf.ChannelID(id))
+		}
+	}
+	return forest
+}
+
+// exactlyBalanced propagates rates over root's component in unbounded
+// rationals and reports whether they satisfy every channel. decided is
+// false when a rate outgrows exactRateBits first.
+func exactlyBalanced(root sdf.ActorID, start []int, halves []rateHalf) (balanced, decided bool) {
+	rates := make(map[sdf.ActorID]*big.Rat)
+	rates[root] = big.NewRat(1, 1)
+	queue := []sdf.ActorID{root}
+	ratio := new(big.Rat)
+	for head := 0; head < len(queue); head++ {
+		a := queue[head]
+		for _, h := range halves[start[a]:start[a+1]] {
+			ratio.SetFrac64(int64(h.mine), int64(h.theirs))
+			want := new(big.Rat).Mul(rates[a], ratio)
+			if want.Num().BitLen()+want.Denom().BitLen() > exactRateBits {
+				return false, false
+			}
+			if have, ok := rates[h.other]; !ok {
+				rates[h.other] = want
+				queue = append(queue, h.other)
+			} else if have.Cmp(want) != 0 {
+				return false, true
+			}
+		}
+	}
+	return true, true
+}
+
+// topologyRank returns rank(Γ) alone; ok is false when some component's
+// rates outgrow exactRateBits before its balance is decided.
+func topologyRank(g *sdf.Graph) (rank int, ok bool) {
+	f := propagateRates(g)
+	return f.rank, f.ok
 }
 
 // --- deadlock --------------------------------------------------------------
